@@ -180,6 +180,8 @@ pub(crate) struct TelemetrySession {
     c_reports: CounterId,
     g_peak_depth: GaugeId,
     g_pending: GaugeId,
+    g_engine_bytes: GaugeId,
+    g_pool_bytes: GaugeId,
     g_in_flight_kind: [GaugeId; 7],
     g_alive: GaugeId,
     g_arena_bytes: GaugeId,
@@ -215,6 +217,8 @@ impl TelemetrySession {
             c_reports: reg.counter("proto.reports"),
             g_peak_depth: reg.gauge("engine.peak_depth"),
             g_pending: reg.gauge("net.pending"),
+            g_engine_bytes: reg.gauge("engine.bytes"),
+            g_pool_bytes: reg.gauge("pool.bytes"),
             g_in_flight_kind: IN_FLIGHT_BY_KIND.map(|n| reg.gauge(n)),
             g_alive: reg.gauge("overlay.alive"),
             g_arena_bytes: reg.gauge("overlay.arena_bytes"),
@@ -292,6 +296,10 @@ impl TelemetrySession {
         }
         self.reg.gauge_set(self.g_peak_depth, es.peak_depth as u64);
         self.reg.gauge_set(self.g_pending, net.pending() as u64);
+        self.reg
+            .gauge_set(self.g_engine_bytes, net.engine_bytes() as u64);
+        self.reg
+            .gauge_set(self.g_pool_bytes, net.pool_bytes() as u64);
     }
 
     /// Samples the overlay gauges and the run-level report counter. In a
@@ -959,6 +967,38 @@ mod tests {
             .find(|(n, _)| n == "engine.batch_len")
             .unwrap();
         assert!(hist.count > 0);
+    }
+
+    /// The byte gauges sample the event core's live storage: the wheel
+    /// holds bytes exactly while events are pending, and the payload pool
+    /// keeps its in-flight plateau after the run drains.
+    #[test]
+    fn byte_gauges_track_the_event_core() {
+        let scenario =
+            Scenario::static_network(2_000, 10).with_network(p2p_sim::NetworkModel::wan());
+        let opts = TelemetryOpts { every: 1, eps: 0.5 };
+        let mut sc = AsyncSampleCollide::cheap();
+        let (_, snaps) =
+            run_scenario_des_telemetry(&mut sc, &scenario, Heuristic::OneShot, 7, "sc", Some(opts));
+        let gauge = |s: &Snapshot, name: &str| {
+            s.gauges
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("gauge {name} missing"))
+                .1
+        };
+        for s in &snaps {
+            let pending = gauge(s, "net.pending");
+            let bytes = gauge(s, "engine.bytes");
+            assert_eq!(
+                bytes == 0,
+                pending == 0,
+                "step {}: {bytes} B, {pending} pending",
+                s.tick
+            );
+        }
+        assert!(snaps.iter().any(|s| gauge(s, "net.pending") > 0));
+        assert!(gauge(snaps.last().unwrap(), "pool.bytes") > 0);
     }
 
     #[test]

@@ -296,6 +296,8 @@ struct ShardTelemetry {
     g_alive: GaugeId,
     g_hosted: GaugeId,
     g_pending: GaugeId,
+    g_engine_bytes: GaugeId,
+    g_pool_bytes: GaugeId,
     series: String,
 }
 
@@ -314,6 +316,8 @@ impl ShardTelemetry {
         let g_alive = reg.gauge("overlay.alive");
         let g_hosted = reg.gauge("node.hosted");
         let g_pending = reg.gauge("outbox.pending");
+        let g_engine_bytes = reg.gauge("engine.bytes");
+        let g_pool_bytes = reg.gauge("pool.bytes");
         ShardTelemetry {
             reg,
             c_frames_sent,
@@ -328,6 +332,8 @@ impl ShardTelemetry {
             g_alive,
             g_hosted,
             g_pending,
+            g_engine_bytes,
+            g_pool_bytes,
             series: format!("shard{proc}"),
         }
     }
@@ -368,6 +374,10 @@ impl ShardTelemetry {
             .count() as u64;
         self.reg.gauge_set(self.g_hosted, hosted);
         self.reg.gauge_set(self.g_pending, outbox.pending() as u64);
+        self.reg
+            .gauge_set(self.g_engine_bytes, outbox.engine_bytes() as u64);
+        self.reg
+            .gauge_set(self.g_pool_bytes, outbox.pool_bytes() as u64);
         let mut snap = self.reg.snapshot(step);
         snap.series = self.series.clone();
         snap

@@ -32,6 +32,7 @@
 //! heavy-tie schedules against it.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Bits per wheel level: 64 slots each.
 const LEVEL_BITS: u32 = 6;
@@ -109,8 +110,10 @@ struct Entry<E> {
 /// ```
 pub struct Engine<E> {
     /// `LEVELS × LEVEL_SLOTS` buckets, flattened. Level 0 slots each span
-    /// one tick; level `l` slots span `64^l` ticks.
-    slots: Vec<std::collections::VecDeque<Entry<E>>>,
+    /// one tick; level `l` slots span `64^l` ticks. A bucket gives its
+    /// storage back when it drains (its occupancy bit clears), so retained
+    /// wheel storage tracks the live events, not every slot's past peak.
+    slots: Vec<VecDeque<Entry<E>>>,
     /// One occupancy bitmap per level — a set bit means the slot's bucket
     /// is non-empty, so "earliest pending slot" is a `trailing_zeros`.
     occupied: [u64; LEVELS],
@@ -119,9 +122,6 @@ pub struct Engine<E> {
     /// `cursor ≤ now ≤ every pending timestamp`, so slot indices never
     /// wrap within a window and bitmap minima are true minima.
     cursor: u64,
-    /// Reused scratch for cascading buckets down a level (no steady-state
-    /// allocation).
-    cascade_buf: Vec<Entry<E>>,
     now: SimTime,
     dispatched: u64,
     peak_depth: usize,
@@ -137,13 +137,12 @@ impl<E> Engine<E> {
     /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
         Engine {
-            slots: std::iter::repeat_with(std::collections::VecDeque::new)
+            slots: std::iter::repeat_with(VecDeque::new)
                 .take(LEVELS * LEVEL_SLOTS)
                 .collect(),
             occupied: [0; LEVELS],
             len: 0,
             cursor: 0,
-            cascade_buf: Vec::new(),
             now: SimTime::ZERO,
             dispatched: 0,
             peak_depth: 0,
@@ -177,6 +176,13 @@ impl<E> Engine<E> {
             pool_hits: 0,
             pool_allocs: 0,
         }
+    }
+
+    /// Bytes the wheel's buckets hold allocated: every bucket's capacity
+    /// times the entry size. Walks all `LEVELS × LEVEL_SLOTS` buckets, so
+    /// it is for sampling (telemetry, tests), not for the hot loop.
+    pub fn bytes(&self) -> usize {
+        self.slots.iter().map(VecDeque::capacity).sum::<usize>() * std::mem::size_of::<Entry<E>>()
     }
 
     /// The wheel level whose current window contains `time`: the highest
@@ -243,14 +249,12 @@ impl<E> Engine<E> {
         let window_start = (self.cursor & !low_mask) | ((slot as u64) << shift);
         debug_assert!(window_start >= self.cursor);
         self.cursor = window_start;
-        let mut buf = std::mem::take(&mut self.cascade_buf);
-        buf.extend(self.slots[level * LEVEL_SLOTS + slot].drain(..));
         // Front-to-back re-filing preserves scheduling order within every
-        // destination bucket — the FIFO tie-break guarantee.
-        for e in buf.drain(..) {
+        // destination bucket — the FIFO tie-break guarantee. Taking the
+        // bucket leaves it unallocated.
+        for e in std::mem::take(&mut self.slots[level * LEVEL_SLOTS + slot]) {
             self.insert(e.time, e.payload);
         }
-        self.cascade_buf = buf;
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
@@ -265,6 +269,7 @@ impl<E> Engine<E> {
         let bucket = &mut self.slots[slot];
         let e = bucket.pop_front().expect("occupied bit implies an entry");
         if bucket.is_empty() {
+            *bucket = VecDeque::new();
             self.occupied[0] &= !(1u64 << slot);
         }
         self.len -= 1;
@@ -305,6 +310,7 @@ impl<E> Engine<E> {
             e.payload
         }));
         if bucket.is_empty() {
+            *bucket = VecDeque::new();
             self.occupied[0] &= !(1u64 << slot);
         }
         self.len -= n;
@@ -380,14 +386,7 @@ impl<E> Engine<E> {
 
     /// Discards all pending events (the clock is unchanged).
     pub fn clear(&mut self) {
-        for (level, &bits) in self.occupied.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                self.slots[level * LEVEL_SLOTS + slot].clear();
-                bits &= bits - 1;
-            }
-        }
+        self.slots.fill_with(VecDeque::new);
         self.occupied = [0; LEVELS];
         self.len = 0;
     }
@@ -664,6 +663,62 @@ mod tests {
         assert_eq!(total.peak_depth, 10);
         assert_eq!(total.pool_hits, 8);
         assert_eq!(total.pool_allocs, 3);
+    }
+
+    /// Retained wheel storage tracks the live events. Wan-like bursts
+    /// (15–250-tick delays, filed at levels 0 and 1) run over several
+    /// level-1 rotations, drained in between by single and batched pops.
+    /// Four entries share each timestamp, so no bucket sits at the 4-entry
+    /// minimum allocation. At every point the buckets hold at most twice
+    /// the peak live entries (a growing bucket is at most half empty) plus
+    /// the one level-0 bucket being drained, and an empty wheel holds
+    /// nothing. Buckets that kept their high-water capacity would grow with
+    /// every slot ever visited.
+    #[test]
+    fn retained_bytes_track_live_events() {
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let entry = std::mem::size_of::<Entry<u64>>();
+        let mut e: Engine<u64> = Engine::new();
+        let mut per_tick = std::collections::HashMap::new();
+        let (mut peak_live, mut max_tick) = (0, 0);
+        let mut batch = Vec::new();
+        for round in 0..1_000u64 {
+            for _ in 0..16 {
+                let t = e.now() + 15 + rng() % 236;
+                let n = per_tick.entry(t).or_insert(0);
+                for _ in 0..4 {
+                    e.schedule_at(t, round);
+                    *n += 1;
+                }
+                max_tick = max_tick.max(*n);
+            }
+            peak_live = peak_live.max(e.len());
+            let horizon = e.now() + 30;
+            let full_drain = round % 100 == 99;
+            while e.peek_time().is_some_and(|t| full_drain || t <= horizon) {
+                if round % 2 == 0 {
+                    e.pop();
+                } else {
+                    e.pop_bucket(&mut batch, 3);
+                }
+                let bound = 2 * (peak_live + max_tick) * entry;
+                assert!(
+                    e.bytes() <= bound,
+                    "round {round}: {} > {bound} bytes",
+                    e.bytes()
+                );
+            }
+            if full_drain {
+                assert_eq!(e.bytes(), 0, "round {round}: an empty wheel holds storage");
+            }
+        }
+        assert!(peak_live > 0 && e.dispatched > 60_000);
     }
 
     /// Replays a random schedule with heavy timestamp ties against the

@@ -375,6 +375,23 @@ impl<M> Network<M> {
         s
     }
 
+    /// Bytes the event wheel's buckets hold allocated (see
+    /// [`Engine::bytes`]; walks every bucket, so sample, don't poll).
+    pub fn engine_bytes(&self) -> usize {
+        self.engine.bytes()
+    }
+
+    /// Bytes the payload pool's slab and free list hold allocated.
+    pub fn pool_bytes(&self) -> usize {
+        self.pool.bytes()
+    }
+
+    /// Bytes the event core holds allocated: the wheel plus the payload
+    /// pool.
+    pub fn bytes(&self) -> usize {
+        self.engine_bytes() + self.pool_bytes()
+    }
+
     /// Reclassifies the delivery most recently popped as lost to churn:
     /// drivers call this instead of handling a [`NetEvent::Deliver`] whose
     /// destination has departed the overlay.
@@ -818,6 +835,23 @@ mod tests {
         assert!(s.pool_hit_rate() > 0.98, "hit rate {}", s.pool_hit_rate());
         assert_eq!(s.dispatched, net.stats().delivered);
         assert!(s.peak_depth >= 10);
+    }
+
+    #[test]
+    fn drained_network_keeps_only_the_pool_plateau() {
+        let mut net: Network<u64> = Network::new(NetworkModel::wan(), 3);
+        for round in 0..50u64 {
+            for i in 0..100u32 {
+                net.send(i, (i + 1) % 100, MessageKind::Control, round);
+            }
+            while net.pop().is_some() {}
+            assert_eq!(net.engine_bytes(), 0, "drained wheel holds storage");
+            assert_eq!(net.bytes(), net.pool_bytes());
+        }
+        // 100 messages in flight at most: the slab and free list stay at
+        // that plateau however many rounds run.
+        let per_slot = std::mem::size_of::<Option<u64>>() + std::mem::size_of::<u32>();
+        assert!(net.pool_bytes() > 0 && net.pool_bytes() <= 2 * 100 * per_slot);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! `u32` handle, queue entries shrink to a fixed small footprint, and a
 //! free list recycles slots as messages resolve — so a steady-state run
 //! (in-flight population oscillating around a plateau) performs **zero
-//! allocations per send**: the slab and the wheel buckets reach their
-//! high-water capacity once and are reused forever after.
+//! allocations per send**: the slab and its free list grow to the peak
+//! in-flight population once and are reused after. The pool keeps that
+//! peak; the wheel does not — its buckets give their storage back as they
+//! drain, so retained wheel storage tracks the live events.
 //!
 //! The pool counts hits (slot reuse) and allocs (slab growth); the ratio is
 //! the *pool hit rate* reported through
@@ -76,6 +78,13 @@ impl<M> PayloadPool<M> {
     /// Payloads currently parked.
     pub fn in_use(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+
+    /// Bytes the slab and free list hold allocated. Both are bounded by
+    /// the peak in-flight population, never by the number of sends.
+    pub fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<M>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Slot reuses so far.
