@@ -19,6 +19,8 @@
 //! CI runs the tier-1 test `tests/audit_clean.rs`, which fails on any
 //! violation not covered by a reasoned `// audit:allow(rule): why` line.
 
+#![deny(unsafe_code)]
+
 pub mod engine;
 pub mod lexer;
 pub mod rules;

@@ -85,7 +85,7 @@ fn in_sim_path(meta: &FileMeta) -> bool {
 }
 
 /// The two files allowed to own cross-thread machinery: the replication
-/// fan-out ([`sim::parallel`]) and the sharded tick-barrier coordinator
+/// fan-out ([`sim::parallel`]) and the sharded window coordinator
 /// (`experiments::sharded`). Everything else in the sim path must keep its
 /// state shard-local — cross-shard data flows through the barrier exchange,
 /// never through a shared lock a worker could race on.
@@ -129,7 +129,7 @@ static RULES: [Rule; 14] = [
     },
     Rule {
         name: "shard-local-state",
-        summary: "no shared-mutable sync primitives (Mutex/RwLock/Barrier/Condvar/Atomic*/channels) in sim-path crates outside the designated parallel drivers (cross-shard state moves through the tick-barrier exchange only)",
+        summary: "no shared-mutable sync primitives (Mutex/RwLock/Barrier/Condvar/Atomic*/channels) in sim-path crates outside the designated parallel drivers (cross-shard state moves through the window-barrier exchange only)",
         scope: "crates/{sim,core,overlay,experiments,workload,stats} except sim/src/parallel.rs and experiments/src/sharded.rs",
         skip_test_code: true,
         kind: RuleKind::PerFile {

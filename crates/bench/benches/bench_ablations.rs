@@ -3,6 +3,8 @@
 //! Each group prints a small measurement table (the ablation result) and
 //! times a representative operation so regressions surface in criterion.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{criterion_config, BENCH_SEED};
 use p2p_estimation::hops_sampling::{gossip_spread, HopsSamplingConfig};
@@ -1077,7 +1079,7 @@ static BENCH8: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(V
 /// `aggregation:rounds=30` protocol on the `wan` network model (every hop
 /// ≥ 1 tick, so the conservative lookahead clamp changes nothing), run at
 /// `--shards 1` (the sequential wheel) and K ∈ {2, 4} through the
-/// tick-barrier engine. 1M always runs; the 10M acceptance point (the
+/// lookahead-window engine. 1M always runs; the 10M acceptance point (the
 /// ≥ 2.5× target with 4+ shards) is gated behind `P2P_BENCH_10M=1` as in
 /// BENCH_6.
 ///

@@ -1,6 +1,8 @@
 //! Aggregation benches — regenerates Figs 5, 6, 15, 16, 17, and times
 //! single push-pull rounds and whole 50-round estimations.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{bench_scale, criterion_config, emit_figure, BENCH_SEED};
 use p2p_estimation::aggregation::{Aggregation, AveragingRun};

@@ -2,6 +2,8 @@
 //! Random Tour (§II), the biased inverted birthday paradox (§II/\[2\]), and
 //! the `gossipSample` reply heuristic (§III-B).
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{criterion_config, BENCH_SEED};
 use p2p_estimation::baselines::{GossipSampleHops, InvertedBirthdayParadox, RandomTour};

@@ -1,6 +1,8 @@
 //! HopsSampling benches — regenerates Figs 3, 4, 12, 13, 14, and times the
 //! spread and full estimation primitives.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{bench_scale, criterion_config, emit_figure, BENCH_SEED};
 use p2p_estimation::hops_sampling::{gossip_spread, HopsSamplingConfig};

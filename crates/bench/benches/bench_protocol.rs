@@ -4,6 +4,8 @@
 //! lossy network, so regressions in the shared drivers (not just in the
 //! per-algorithm primitives) show up in `cargo bench`.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{criterion_config, BENCH_SEED};
 use p2p_estimation::aggregation::{AggregationConfig, EpochedAggregation};

@@ -1,6 +1,8 @@
 //! Sample&Collide benches — regenerates Figs 1, 2, 9, 10, 11 and 18, and
 //! times single estimations at both `l` operating points.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{bench_scale, criterion_config, emit_figure, BENCH_SEED};
 use p2p_estimation::{SampleCollide, SizeEstimator};

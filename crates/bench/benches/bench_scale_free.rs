@@ -1,6 +1,8 @@
 //! Scale-free topology benches — regenerates Figs 7 and 8, and times the
 //! Barabási–Albert construction.
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{bench_scale, criterion_config, emit_figure, BENCH_SEED};
 use p2p_estimation::{SampleCollide, SizeEstimator};

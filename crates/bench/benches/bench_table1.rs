@@ -1,6 +1,8 @@
 //! Table I bench — regenerates the overhead/accuracy table and times one
 //! estimation per configuration (wall-clock analogue of the message counts).
 
+#![deny(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2p_bench::{bench_scale, criterion_config, figures_dir, BENCH_SEED};
 use p2p_estimation::aggregation::Aggregation;

@@ -9,6 +9,8 @@
 //!    spread…) with criterion at a fixed reduced size, so `cargo bench`
 //!    also tracks implementation performance over time.
 
+#![deny(unsafe_code)]
+
 use p2p_experiments::ExperimentScale;
 use p2p_stats::series::Figure;
 use std::path::PathBuf;
@@ -111,7 +113,7 @@ pub fn write_bench7(entries: &[(String, String)]) {
 
 /// Where the shard-scaling snapshot lands: `target/BENCH_8.json`,
 /// shards × events/s × peak RSS from the `shard_scaling` ablation (the
-/// tick-barrier parallel engine vs the sequential wheel on the same
+/// lookahead-window parallel engine vs the sequential wheel on the same
 /// scenario). Same convention as [`bench5_path`].
 pub fn bench8_path() -> PathBuf {
     figures_dir()

@@ -58,6 +58,8 @@
 //! assert!((n - 5_000.0).abs() / 5_000.0 < 0.25, "estimate {n}");
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod aggregation;
 pub mod arena;
 pub mod baselines;

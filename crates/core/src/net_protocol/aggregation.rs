@@ -158,6 +158,14 @@ impl NodeProtocol for AsyncAggregation {
         "Aggregation"
     }
 
+    fn prefetch(&self, node: NodeId) {
+        self.nodes.prefetch(node.index());
+    }
+
+    fn arena_bytes(&self) -> usize {
+        self.nodes.bytes()
+    }
+
     fn reset(&mut self) {
         self.nodes.clear();
         self.epoch = 0;

@@ -143,6 +143,14 @@ impl NodeProtocol for AsyncHopsSampling {
         "HopsSampling"
     }
 
+    fn prefetch(&self, node: NodeId) {
+        self.reached.prefetch(node.index());
+    }
+
+    fn arena_bytes(&self) -> usize {
+        self.reached.bytes()
+    }
+
     fn reset(&mut self) {
         self.active = false;
         self.reached.clear();

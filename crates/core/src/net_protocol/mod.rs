@@ -125,11 +125,11 @@ impl Deployment {
 
 /// The sharded DES driver's routing attachment to a [`Cx`]: which shard
 /// this protocol instance executes as, and the outbox its cross-shard
-/// sends buffer into until the next tick-barrier exchange.
+/// sends buffer into until the exchange at the end of the window.
 pub struct ShardRoute<'a, M> {
     /// This shard's view (partition rule `index % procs`).
     pub view: ShardView,
-    /// The shard's per-destination cross-shard lanes for the current tick.
+    /// The shard's per-destination cross-shard lanes for the current window.
     pub outbox: &'a mut p2p_sim::shard::Outbox<M>,
 }
 
@@ -278,6 +278,63 @@ pub trait NodeProtocol {
         _msg: Self::Msg,
         _cx: &mut Cx<'_, Self::Msg>,
     ) {
+    }
+
+    /// Hint: an event for `node` will be dispatched shortly, so its state
+    /// may be pulled into cache now (see [`for_each_prefetched`]). Must not
+    /// change any state; the default does nothing.
+    fn prefetch(&self, _node: NodeId) {}
+
+    /// Bytes the protocol's per-node state holds allocated (the
+    /// `proto.arena_bytes` gauge). The default reports none.
+    fn arena_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// How many events ahead of the one being dispatched
+/// [`for_each_prefetched`] hints the destination's state: far enough that
+/// the load completes during the handlers in between, near enough that
+/// the line is still cached when its event comes up.
+pub const PREFETCH_AHEAD: usize = 12;
+
+/// The node whose protocol state handling `event` touches first: the
+/// receiver of a delivery, the sender of a lost message (`on_loss` runs
+/// there), the owner of a timer.
+fn event_node<M>(event: &NetEvent<M>) -> Option<NodeId> {
+    match *event {
+        NetEvent::Deliver { dst, .. } => Some(NodeId(dst)),
+        NetEvent::Drop { src, .. } => Some(NodeId(src)),
+        NetEvent::Timer { node, .. } => Some(NodeId(node)),
+        NetEvent::Control { .. } => None,
+    }
+}
+
+/// Drains `batch` in order into `handle`, first hinting
+/// [`NodeProtocol::prefetch`] for the event [`PREFETCH_AHEAD`] places
+/// later. The dispatch loop of both DES drivers; prefetching is a hint, so
+/// dispatch order, RNG draws and outputs are exactly those of a plain
+/// `for event in batch.drain(..)`.
+pub fn for_each_prefetched<P: NodeProtocol>(
+    protocol: &mut P,
+    batch: &mut Vec<NetEvent<P::Msg>>,
+    mut handle: impl FnMut(&mut P, NetEvent<P::Msg>),
+) {
+    for event in batch.iter().take(PREFETCH_AHEAD) {
+        if let Some(node) = event_node(event) {
+            protocol.prefetch(node);
+        }
+    }
+    let mut events = batch.drain(..);
+    while let Some(event) = events.next() {
+        if let Some(node) = events
+            .as_slice()
+            .get(PREFETCH_AHEAD - 1)
+            .and_then(event_node)
+        {
+            protocol.prefetch(node);
+        }
+        handle(protocol, event);
     }
 }
 

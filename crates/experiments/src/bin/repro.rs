@@ -14,6 +14,8 @@
 //! `--format jsonl | csv-stream` streams rows to stdout as replications
 //! finish instead of writing figure files.
 
+#![deny(unsafe_code)]
+
 use p2p_estimation::{Heuristic, ProtocolSpec};
 use p2p_experiments::engine::{run_experiment, EngineOptions, MetricsConfig};
 use p2p_experiments::figures::{spec_for, ALL_FIGURES};
@@ -53,8 +55,10 @@ common options:
   --out DIR                  CSV output directory       (default target/figures)
   --jobs J                   worker threads per replication batch
   --shards K                 free-form async runs only: run each replication
-                             on K parallel DES shards (tick-barrier engine,
-                             partition rule index mod K). K is part of the
+                             on K parallel DES shards (partition rule index
+                             mod K) that meet at a barrier once per lookahead
+                             window, the network's shortest possible hop
+                             (15 ticks on wan, 1 on ideal). K is part of the
                              result identity — fixed K is byte-stable across
                              reruns and worker counts, but K=4 is a different
                              (equally valid) realization than K=1
@@ -151,9 +155,17 @@ impl ResultSink for ProgressPrinter {
                 Some(kb) => format!("{kb} kB"),
                 None => "n/a".to_string(),
             };
+            let shards = if stats.windows > 0 {
+                format!(
+                    ", {} shard windows, shard imbalance {:.3}",
+                    stats.windows, stats.imbalance
+                )
+            } else {
+                String::new()
+            };
             eprintln!(
                 "  [stats] {} ({}): {} events dispatched, peak queue {}, {} sent, \
-                 pool hit rate {:.4}, peak RSS {rss}",
+                 pool hit rate {:.4}, peak RSS {rss}{shards}",
                 stats.series,
                 stats.backend,
                 stats.events,

@@ -432,6 +432,8 @@ fn tracking(
                         peak_queue: trace.engine.peak_depth,
                         pool_hit_rate: trace.engine.pool_hit_rate(),
                         sent: trace.net.sent,
+                        windows: trace.engine.windows,
+                        imbalance: trace.engine.shard_imbalance(),
                         peak_rss_kb: crate::sink::peak_rss_kb(),
                     });
                 }

@@ -26,6 +26,8 @@
 //! Estimation quality and cost *shapes* are scale-free (that is the point of
 //! the algorithms); absolute message counts grow with N as derived in §IV-E.
 
+#![deny(unsafe_code)]
+
 pub mod delay;
 pub mod engine;
 pub mod figures;

@@ -36,7 +36,7 @@
 
 use crate::scenario::{Scenario, MAX_DEGREE};
 use p2p_estimation::aggregation::AveragingRun;
-use p2p_estimation::net_protocol::{dispatch, Cx};
+use p2p_estimation::net_protocol::{dispatch, for_each_prefetched, Cx};
 use p2p_estimation::{
     EstimationProtocol, Heuristic, NodeProtocol, Smoother, StepOutcome, SyncStep,
 };
@@ -185,10 +185,14 @@ pub(crate) struct TelemetrySession {
     g_in_flight_kind: [GaugeId; 7],
     g_alive: GaugeId,
     g_arena_bytes: GaugeId,
+    g_proto_bytes: GaugeId,
     g_window_len: GaugeId,
     g_eps_reached: GaugeId,
     g_time_to_eps: GaugeId,
     h_batch_len: HistId,
+    /// `shard.windows` and `shard.imbalance`, registered in sharded runs
+    /// only.
+    shard: Option<(CounterId, GaugeId)>,
     window: SlidingWindow,
     reports_seen: u64,
     series: String,
@@ -197,6 +201,16 @@ pub(crate) struct TelemetrySession {
 
 impl TelemetrySession {
     pub(crate) fn new(opts: TelemetryOpts, series: String) -> Self {
+        Self::with_shard_metrics(opts, series, false)
+    }
+
+    /// A session of a sharded run: the sequential metric set plus the
+    /// synchronization metrics `shard.windows` and `shard.imbalance`.
+    pub(crate) fn new_sharded(opts: TelemetryOpts, series: String) -> Self {
+        Self::with_shard_metrics(opts, series, true)
+    }
+
+    fn with_shard_metrics(opts: TelemetryOpts, series: String, sharded: bool) -> Self {
         assert!(opts.every >= 1, "snapshot interval must be ≥ 1 step");
         let mut reg = Registry::new();
         TelemetrySession {
@@ -222,10 +236,12 @@ impl TelemetrySession {
             g_in_flight_kind: IN_FLIGHT_BY_KIND.map(|n| reg.gauge(n)),
             g_alive: reg.gauge("overlay.alive"),
             g_arena_bytes: reg.gauge("overlay.arena_bytes"),
+            g_proto_bytes: reg.gauge("proto.arena_bytes"),
             g_window_len: reg.gauge("conv.window_len"),
             g_eps_reached: reg.gauge("conv.eps_reached"),
             g_time_to_eps: reg.gauge("conv.time_to_eps_step"),
             h_batch_len: reg.histogram("engine.batch_len"),
+            shard: sharded.then(|| (reg.counter("shard.windows"), reg.gauge("shard.imbalance"))),
             reg,
             opts,
             window: SlidingWindow::new(CONV_WINDOW),
@@ -260,10 +276,35 @@ impl TelemetrySession {
 
     /// Takes one interval snapshot at step `tick`, sampling every metric
     /// source the run already maintains.
-    fn sample<M>(&mut self, tick: u64, net: &Network<M>, graph: &Graph) {
+    fn sample<M>(&mut self, tick: u64, net: &Network<M>, graph: &Graph, proto_bytes: usize) {
         self.sample_core(net);
+        self.sample_proto(proto_bytes);
         self.sample_overlay(graph);
         self.snapshot_now(tick);
+    }
+
+    /// Samples the protocol's per-node state size
+    /// ([`NodeProtocol::arena_bytes`]). In a sharded run each shard session
+    /// samples its own instance, so the folded gauge shows the `K`
+    /// full-size arena replicas.
+    pub(crate) fn sample_proto(&mut self, bytes: usize) {
+        self.reg.gauge_set(self.g_proto_bytes, bytes as u64);
+    }
+
+    /// Samples a sharded run's synchronization so far: windows (barrier
+    /// rounds) and the imbalance in thousandths (1000 = every window's
+    /// work split evenly). Only the coordinator session calls this.
+    pub(crate) fn sample_shard(&mut self, es: &EngineStats) {
+        let (c_windows, g_imbalance) = self.shard.expect("a sharded session");
+        counter_set_total(&mut self.reg, c_windows, es.windows);
+        let permille = if es.dispatched == 0 {
+            1000
+        } else {
+            let num = es.shards as u128 * es.window_peak_events as u128 * 1000;
+            let den = es.dispatched as u128;
+            ((num + den / 2) / den) as u64
+        };
+        self.reg.gauge_set(g_imbalance, permille);
     }
 
     /// Samples the engine/network accounting of one event core. In a
@@ -523,7 +564,7 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol>(
         if let Some(t) = tel.as_mut() {
             t.observe_batch(batch.len());
         }
-        for event in batch.drain(..) {
+        for_each_prefetched(protocol, &mut batch, |protocol, event| {
             match event {
                 NetEvent::Control { tag } if tag & STEP_TAG != 0 => {
                     current_step = tag & !STEP_TAG;
@@ -544,7 +585,7 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol>(
                         if current_step.is_multiple_of(t.opts.every)
                             && current_step != scenario.steps
                         {
-                            t.sample(current_step, &net, &graph);
+                            t.sample(current_step, &net, &graph, protocol.arena_bytes());
                         }
                     }
                 }
@@ -574,7 +615,7 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol>(
                     real_size.push(x, graph.alive_count() as f64);
                 }
             }
-        }
+        });
     }
     if let Some(w) = workload.as_mut() {
         w.finish();
@@ -584,7 +625,7 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol>(
     // The complete end-of-run snapshot, after the post-timeline drain (and
     // before `take_counter` zeroes the traffic counter).
     if let Some(t) = tel.as_mut() {
-        t.sample(scenario.steps, &net, &graph);
+        t.sample(scenario.steps, &net, &graph, protocol.arena_bytes());
     }
 
     let trace = Trace {

@@ -4,48 +4,58 @@
 //! scenario on one core. This module splits the node population across `K`
 //! shards — the same `index % K` partition rule the real cluster runtime
 //! uses (`crates/node`) — and runs the shards on worker threads that
-//! synchronize at **tick barriers**:
+//! synchronize at the edges of **lookahead windows**:
 //!
 //! * every shard owns a full event core ([`Network`]: timing wheel,
 //!   payload pool, private latency/loss stream) plus its own protocol
 //!   instance and derived RNG stream;
 //! * a message between co-hosted nodes stays entirely inside its shard;
-//! * a cross-shard send is routed through
-//!   [`Network::route_remote`], which clamps its latency to **≥ 1 tick**
-//!   — that lookahead is what makes the synchronization *conservative*:
-//!   nothing a shard does during tick `T` can affect another shard before
-//!   tick `T + 1`, so all shards may execute tick `T` in parallel;
-//! * at the barrier, buffered cross-shard messages are exchanged through
-//!   [`ExchangeGrid`] and enqueued at the destination in
-//!   **(source-shard-index, FIFO)** order — a fixed merge order, so the
-//!   destination wheel's structural FIFO makes same-tick remote arrivals
-//!   deterministic.
+//! * a cross-shard send is routed through [`Network::route_remote`]; no
+//!   hop is shorter than the model's
+//!   [`min_hop_ticks`](p2p_sim::NetworkModel::min_hop_ticks) `= W` (≥ 1),
+//!   so nothing a shard does inside a window `[T, E)` with `E ≤ T + W` can
+//!   reach another shard before `E`, and all shards may execute the whole
+//!   window in parallel;
+//! * the coordinator opens each window at `T`, the earliest pending event,
+//!   staged event, remote arrival or control tick, and ends it at `E =
+//!   min(T + W, next control tick)`: churn, workload steps and `on_step`
+//!   happen only at window starts. When telemetry samples at step `s`, the
+//!   window that starts at `s` is cut to one tick, so shard snapshots see
+//!   the state a barrier on every tick saw;
+//! * inside a window a shard files events due before `E` into its wheel
+//!   and stages the rest; at the next window start it merges its staged
+//!   events with the window's remote arrivals (moved by [`ExchangeGrid`])
+//!   in **(send tick, own shard before remote shards, ascending source
+//!   shard, FIFO)** order ([`p2p_sim::shard`]). That reproduces the filing
+//!   order of a barrier on every occupied tick, so outputs are
+//!   byte-identical to that engine with ~`W` times fewer barrier rounds.
 //!
 //! ## Determinism boundary
 //!
 //! A `K`-shard run is byte-identical across reruns **and across worker
-//! thread counts** — each shard's tick execution depends only on its own
-//! state, the published round plan and the (read-locked) overlay, never on
-//! scheduling. `K` itself, however, is part of the result identity: a
-//! `K`-shard run partitions the RNG streams differently than a single
-//! queue (exactly like the node-count of a real cluster, whose estimates
-//! are validated against the DES *envelope*, not bit-for-bit). `K = 1`
-//! never reaches this module: the engine falls back to the sequential
-//! driver, keeping every golden figure and trace byte-identical.
+//! thread counts** — each shard's window execution depends only on its own
+//! state, the published plan and the (read-locked) overlay, never on
+//! scheduling; reports are harvested per window in (tick, shard, FIFO)
+//! order. `K` itself, however, is part of the result identity: a `K`-shard
+//! run partitions the RNG streams differently than a single queue (exactly
+//! like the node-count of a real cluster, whose estimates are validated
+//! against the DES *envelope*, not bit-for-bit). `K = 1` never reaches this
+//! module: the engine falls back to the sequential driver, keeping every
+//! golden figure and trace byte-identical.
 //!
 //! Because the lookahead clamp turns a zero-latency cross-shard hop into a
 //! one-tick hop, sharded execution is meant for latency-realistic models
 //! (e.g. [`NetworkModel::wan`](p2p_sim::NetworkModel::wan), where every
-//! hop already takes ≥ 1 tick and the clamp changes nothing). Under the
+//! hop already takes ≥ 15 ticks and the clamp changes nothing). Under the
 //! paper's ideal instantaneous model a chain of cross-shard hops stretches
-//! across ticks — still a valid execution, but far from the historic
-//! round semantics.
+//! across ticks, and `W = 1` makes every window a single tick — still a
+//! valid execution, but far from the historic round semantics.
 
 use crate::runner::{
     Trace, WorkloadRuntime, {TelemetryOpts, TelemetrySession, NET_SEED_STREAM},
 };
 use crate::scenario::Scenario;
-use p2p_estimation::net_protocol::{dispatch_routed, Cx, ShardRoute};
+use p2p_estimation::net_protocol::{dispatch_routed, for_each_prefetched, Cx, ShardRoute};
 use p2p_estimation::{Heuristic, NodeProtocol, ShardView, Smoother, StepOutcome};
 use p2p_overlay::Graph;
 use p2p_sim::network::NetEvent;
@@ -79,19 +89,21 @@ pub struct ShardOpts {
     pub workers: Option<usize>,
 }
 
-/// The per-round execution order published to the workers at the barrier.
+/// The window published to the workers at the barrier.
 #[derive(Clone, Copy)]
 struct Plan {
-    /// The tick every shard executes this round.
-    tick: u64,
-    /// `Some(s)` when this round's tick is protocol step `s`'s boundary.
+    /// First tick of the window.
+    start: u64,
+    /// End of the window (exclusive).
+    end: u64,
+    /// `Some(s)` when the window starts at protocol step `s`'s boundary.
     step: Option<u64>,
-    /// Termination signal: workers exit instead of executing a tick.
+    /// Termination signal: workers exit instead of executing a window.
     done: bool,
 }
 
 /// One shard's complete run state. Each lives behind its own `Mutex`: a
-/// worker locks it for the duration of the shard's tick, the coordinator
+/// worker locks it for the duration of the shard's window, the coordinator
 /// between barriers — never both at once, so every lock is uncontended.
 struct ShardState<P: NodeProtocol> {
     proto: P,
@@ -101,15 +113,21 @@ struct ShardState<P: NodeProtocol> {
     outbox: Outbox<P::Msg>,
     inbox: Inbox<P::Msg>,
     reports: Vec<StepOutcome>,
+    /// The window's reports with the tick each closed at, in FIFO order.
+    window_reports: Vec<(u64, StepOutcome)>,
+    /// Events this shard dispatched in the last window.
+    window_events: u64,
     batch: Vec<NetEvent<P::Msg>>,
     tel: Option<TelemetrySession>,
 }
 
-/// Executes one shard's slice of tick `plan.tick`: enqueue the remote
-/// arrivals exchanged at the previous barrier, park the clock on the tick,
-/// run the protocol step if this round carries one, then drain every event
-/// up to (and including) the tick. Cross-shard sends land in the outbox.
-fn run_shard_tick<P: NodeProtocol>(st: &mut ShardState<P>, plan: Plan, graph: &Graph) {
+/// Executes one shard's slice of window `[plan.start, plan.end)`: merge
+/// the staged events and the remote arrivals exchanged at the previous
+/// barrier, open the window, park the clock on its start, run the protocol
+/// step if the window carries one, then drain every event due inside the
+/// window. Cross-shard sends land in the outbox, later local events in the
+/// network's staging buffer.
+fn run_shard_window<P: NodeProtocol>(st: &mut ShardState<P>, plan: Plan, graph: &Graph) {
     let ShardState {
         proto,
         net,
@@ -118,11 +136,15 @@ fn run_shard_tick<P: NodeProtocol>(st: &mut ShardState<P>, plan: Plan, graph: &G
         outbox,
         inbox,
         reports,
+        window_reports,
+        window_events,
         batch,
         tel,
     } = st;
-    inbox.drain(|m| net.enqueue_remote(m));
-    net.advance_to(SimTime(plan.tick));
+    inbox.merge_into(net);
+    net.open_window(SimTime(plan.end));
+    net.advance_to(SimTime(plan.start));
+    *window_events = 0;
     if let Some(step) = plan.step {
         let route = ShardRoute {
             view: *view,
@@ -130,18 +152,21 @@ fn run_shard_tick<P: NodeProtocol>(st: &mut ShardState<P>, plan: Plan, graph: &G
         };
         let mut cx = Cx::with_route(graph, net, rng, reports, route);
         proto.on_step(step, &mut cx);
+        window_reports.extend(reports.drain(..).map(|o| (plan.start, o)));
     }
-    while net.pop_batch_until(SimTime(plan.tick), batch).is_some() {
+    while let Some(tick) = net.pop_batch_until(SimTime(plan.end - 1), batch) {
         if let Some(t) = tel.as_mut() {
             t.observe_batch(batch.len());
         }
-        for event in batch.drain(..) {
+        *window_events += batch.len() as u64;
+        for_each_prefetched(proto, batch, |proto, event| {
             let route = ShardRoute {
                 view: *view,
                 outbox,
             };
             dispatch_routed(proto, event, graph, net, rng, reports, route);
-        }
+        });
+        window_reports.extend(reports.drain(..).map(|o| (tick.0, o)));
     }
 }
 
@@ -150,10 +175,11 @@ fn run_shard_tick<P: NodeProtocol>(st: &mut ShardState<P>, plan: Plan, graph: &G
 /// `make(shard, view)` builds shard `shard`'s protocol instance; it must
 /// install `Deployment::Shard(view)` so the instance paces only hosted
 /// slots (the engine's entry points do this for every spec-built
-/// protocol). Reports are collected in (shard-index, FIFO) order at each
-/// barrier; per-shard engine/network accounting is folded into the
-/// returned [`Trace`] in the same fixed order, so `[stats]` totals cover
-/// the whole run.
+/// protocol). Reports are collected in (tick, shard-index, FIFO) order at
+/// each barrier; per-shard engine/network accounting is folded into the
+/// returned [`Trace`] in shard-index order, so `[stats]` totals cover the
+/// whole run, and the trace's [`EngineStats`] carries the window count and
+/// the shard imbalance.
 pub fn run_scenario_des_sharded<P, F>(
     make: F,
     scenario: &Scenario,
@@ -213,8 +239,10 @@ where
                 outbox: Outbox::new(k as usize),
                 inbox: Inbox::new(k as usize),
                 reports: Vec::new(),
+                window_reports: Vec::new(),
+                window_events: 0,
                 batch: Vec::new(),
-                tel: telemetry.map(|o| TelemetrySession::new(o, series_name.clone())),
+                tel: telemetry.map(|o| TelemetrySession::new_sharded(o, series_name.clone())),
             })
         })
         .collect();
@@ -222,7 +250,7 @@ where
     let mut grid: ExchangeGrid<P::Msg> = ExchangeGrid::new(k as usize);
 
     // Per-shard protocol init, then one exchange so init-time cross-shard
-    // sends are visible to the first round's horizon computation.
+    // sends are visible to the first window's start computation.
     for st in &mut states {
         let st = st.get_mut().unwrap();
         let route = ShardRoute {
@@ -250,7 +278,13 @@ where
     ctrl.dedup();
     let mut ctrl_idx = 0usize;
 
-    let mut coord_tel = telemetry.map(|o| TelemetrySession::new(o, series_name.clone()));
+    let lookahead = scenario.network.min_hop_ticks();
+    let mut sync = EngineStats {
+        shards: k,
+        ..EngineStats::default()
+    };
+    let mut harvest: Vec<(u64, StepOutcome)> = Vec::new();
+    let mut coord_tel = telemetry.map(|o| TelemetrySession::new_sharded(o, series_name.clone()));
     let mut estimates = Series::new(series_name);
     let mut real_size = Series::new("real size");
     let mut completed = 0usize;
@@ -258,22 +292,23 @@ where
 
     let graph_lock = RwLock::new(graph);
     let plan = Mutex::new(Plan {
-        tick: 0,
+        start: 0,
+        end: 0,
         step: None,
         done: false,
     });
-    let start = Barrier::new(workers + 1);
-    let end = Barrier::new(workers + 1);
+    let start_barrier = Barrier::new(workers + 1);
+    let end_barrier = Barrier::new(workers + 1);
 
     std::thread::scope(|scope| {
         let states = &states;
         let graph_lock = &graph_lock;
         let plan = &plan;
-        let start = &start;
-        let end = &end;
+        let start_barrier = &start_barrier;
+        let end_barrier = &end_barrier;
         for w in 0..workers {
             scope.spawn(move || loop {
-                start.wait();
+                start_barrier.wait();
                 let p = *plan.lock().unwrap();
                 if p.done {
                     return;
@@ -281,15 +316,15 @@ where
                 let graph = graph_lock.read().unwrap();
                 let mut i = w;
                 while i < k as usize {
-                    run_shard_tick(&mut states[i].lock().unwrap(), p, &graph);
+                    run_shard_window(&mut states[i].lock().unwrap(), p, &graph);
                     i += workers;
                 }
                 drop(graph);
-                end.wait();
+                end_barrier.wait();
             });
         }
 
-        // Coordinator: picks each round's tick, applies churn, releases the
+        // Coordinator: opens each window, applies churn, releases the
         // workers, then harvests reports and runs the cross-shard exchange.
         loop {
             let ctrl_tick = ctrl.get(ctrl_idx).map(|&s| s * step_ticks);
@@ -303,10 +338,10 @@ where
                     next = Some(next.map_or(t.0, |n| n.min(t.0)));
                 }
             }
-            let Some(tick) = next else { break };
+            let Some(start) = next else { break };
 
-            let mut step_of_round = None;
-            if ctrl_tick == Some(tick) {
+            let mut step_of_window = None;
+            if ctrl_tick == Some(start) {
                 let s = ctrl[ctrl_idx];
                 ctrl_idx += 1;
                 let mut graph = graph_lock.write().unwrap();
@@ -325,56 +360,77 @@ where
                         w.step(s, &mut graph, &mut rng);
                     }
                     current_step = s;
-                    step_of_round = Some(s);
+                    step_of_window = Some(s);
                 }
             }
+            let sample_step = step_of_window.filter(|&s| {
+                coord_tel
+                    .as_ref()
+                    .is_some_and(|t| s.is_multiple_of(t.opts.every) && s != scenario.steps)
+            });
+            let end = if sample_step.is_some() {
+                start + 1
+            } else {
+                let next_ctrl = ctrl.get(ctrl_idx).map_or(u64::MAX, |&s| s * step_ticks);
+                (start + lookahead).min(next_ctrl)
+            };
 
             *plan.lock().unwrap() = Plan {
-                tick,
-                step: step_of_round,
+                start,
+                end,
+                step: step_of_window,
                 done: false,
             };
-            start.wait();
-            // Workers execute the tick on every shard.
-            end.wait();
+            start_barrier.wait();
+            // Workers execute the window on every shard.
+            end_barrier.wait();
 
-            let graph = graph_lock.read().unwrap();
-            let truth = graph.alive_count() as f64;
+            // Reports in (tick, shard, FIFO) order: shards are visited in
+            // index order and the sort is stable.
+            let mut peak = 0;
             for st in states.iter() {
                 let mut st = st.lock().unwrap();
-                for outcome in st.reports.drain(..) {
-                    let x = current_step.max(1) as f64;
-                    if let Some(raw) = outcome.estimate() {
-                        estimates.push(x, smoother.apply(raw));
-                        completed += 1;
-                        if let Some(t) = coord_tel.as_mut() {
-                            t.on_report(raw, truth, current_step);
-                        }
-                    }
-                    if outcome.is_report() {
-                        real_size.push(x, truth);
+                harvest.append(&mut st.window_reports);
+                sync.dispatched += st.window_events;
+                peak = peak.max(st.window_events);
+            }
+            sync.windows += 1;
+            sync.window_peak_events += peak;
+            harvest.sort_by_key(|&(tick, _)| tick);
+            let graph = graph_lock.read().unwrap();
+            let truth = graph.alive_count() as f64;
+            for (_, outcome) in harvest.drain(..) {
+                let x = current_step.max(1) as f64;
+                if let Some(raw) = outcome.estimate() {
+                    estimates.push(x, smoother.apply(raw));
+                    completed += 1;
+                    if let Some(t) = coord_tel.as_mut() {
+                        t.on_report(raw, truth, current_step);
                     }
                 }
+                if outcome.is_report() {
+                    real_size.push(x, truth);
+                }
             }
-            if let Some(t) = coord_tel.as_mut() {
-                if let Some(s) = step_of_round {
-                    if s.is_multiple_of(t.opts.every) && s != scenario.steps {
-                        t.sample_overlay(&graph);
-                        t.snapshot_now(s);
-                        for st in states.iter() {
-                            let mut st = st.lock().unwrap();
-                            let ShardState { net, tel, .. } = &mut *st;
-                            let tel = tel.as_mut().expect("every shard captures telemetry");
-                            tel.sample_core(net);
-                            tel.snapshot_now(s);
-                        }
-                    }
+            if let (Some(t), Some(s)) = (coord_tel.as_mut(), sample_step) {
+                t.sample_overlay(&graph);
+                t.sample_shard(&sync);
+                t.snapshot_now(s);
+                for st in states.iter() {
+                    let mut st = st.lock().unwrap();
+                    let ShardState {
+                        proto, net, tel, ..
+                    } = &mut *st;
+                    let tel = tel.as_mut().expect("every shard captures telemetry");
+                    tel.sample_core(net);
+                    tel.sample_proto(proto.arena_bytes());
+                    tel.snapshot_now(s);
                 }
             }
             drop(graph);
 
-            // The tick barrier's second half: exchange cross-shard traffic
-            // in (source-shard-index, FIFO) order.
+            // The barrier's second half: move the window's cross-shard
+            // traffic to its destinations, merged at the next window start.
             for (s, st) in states.iter().enumerate() {
                 grid.collect(s, &mut st.lock().unwrap().outbox);
             }
@@ -384,7 +440,7 @@ where
         }
 
         plan.lock().unwrap().done = true;
-        start.wait();
+        start_barrier.wait();
     });
 
     if let Some(w) = workload.as_mut() {
@@ -397,6 +453,7 @@ where
     // coordinator's — identical metric sets, fixed shard-index order.
     if let Some(t) = coord_tel.as_mut() {
         t.sample_overlay(&graph);
+        t.sample_shard(&sync);
         t.snapshot_now(scenario.steps);
     }
     let mut states: Vec<ShardState<P>> = states
@@ -408,9 +465,10 @@ where
     let mut net_stats = NetStats::default();
     let mut engine_stats = EngineStats::default();
     for st in &mut states {
-        debug_assert!(st.outbox.is_empty() && st.inbox.is_empty());
+        debug_assert!(st.outbox.is_empty() && st.inbox.is_empty() && st.net.pending() == 0);
         if let Some(tel) = st.tel.as_mut() {
             tel.sample_core(&st.net);
+            tel.sample_proto(st.proto.arena_bytes());
             tel.snapshot_now(scenario.steps);
             debug_assert_eq!(tel.snapshots.len(), snapshots.len());
             for (dst, src) in snapshots.iter_mut().zip(&tel.snapshots) {
@@ -422,6 +480,10 @@ where
         net_stats.merge_from(st.net.stats());
         engine_stats.merge_from(&st.net.engine_stats());
     }
+    debug_assert_eq!(engine_stats.dispatched, sync.dispatched);
+    engine_stats.windows = sync.windows;
+    engine_stats.window_peak_events = sync.window_peak_events;
+    engine_stats.shards = k;
 
     let trace = Trace {
         estimates,

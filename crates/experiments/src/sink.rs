@@ -62,6 +62,13 @@ pub struct RunStats<'a> {
     pub pool_hit_rate: f64,
     /// Messages sent over the network.
     pub sent: u64,
+    /// Lookahead windows (barrier rounds) of a sharded run; 0 for a
+    /// sequential run.
+    pub windows: u64,
+    /// Shard imbalance of a sharded run (see
+    /// [`EngineStats::shard_imbalance`](p2p_sim::EngineStats::shard_imbalance));
+    /// 1.0 for a sequential run.
+    pub imbalance: f64,
     /// Process-wide peak resident set size in kB at the time the run
     /// finished (`VmHWM` from `/proc/self/status`); `None` where the
     /// platform has no cheap high-water readout.
@@ -452,6 +459,8 @@ mod tests {
             peak_queue: 3,
             pool_hit_rate: 0.5,
             sent: 7,
+            windows: 0,
+            imbalance: 1.0,
             peak_rss_kb: Some(2048),
         });
         sink.run_stats(&RunStats {
@@ -461,6 +470,8 @@ mod tests {
             peak_queue: 3,
             pool_hit_rate: 0.5,
             sent: 7,
+            windows: 0,
+            imbalance: 1.0,
             peak_rss_kb: None,
         });
         let text = String::from_utf8(buf).unwrap();

@@ -11,6 +11,8 @@
 //! `cluster` spawns (one child per shard) and is also usable by hand for
 //! debugging a single shard against a live coordinator.
 
+#![deny(unsafe_code)]
+
 use p2p_estimation::ProtocolSpec;
 use p2p_experiments::sink::{JsonLinesSink, ResultSink, Row};
 use p2p_experiments::{NetworkSpec, ScenarioSpec};

@@ -25,6 +25,8 @@
 //! The `node` binary fronts it: `node cluster --nodes 64 --procs 4
 //! --protocol aggregation:rounds=30` runs a full loopback deployment.
 
+#![deny(unsafe_code)]
+
 pub mod cluster;
 pub mod runtime;
 pub mod wire;

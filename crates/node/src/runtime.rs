@@ -298,6 +298,7 @@ struct ShardTelemetry {
     g_pending: GaugeId,
     g_engine_bytes: GaugeId,
     g_pool_bytes: GaugeId,
+    g_proto_bytes: GaugeId,
     series: String,
 }
 
@@ -318,6 +319,7 @@ impl ShardTelemetry {
         let g_pending = reg.gauge("outbox.pending");
         let g_engine_bytes = reg.gauge("engine.bytes");
         let g_pool_bytes = reg.gauge("pool.bytes");
+        let g_proto_bytes = reg.gauge("proto.arena_bytes");
         ShardTelemetry {
             reg,
             c_frames_sent,
@@ -334,11 +336,15 @@ impl ShardTelemetry {
             g_pending,
             g_engine_bytes,
             g_pool_bytes,
+            g_proto_bytes,
             series: format!("shard{proc}"),
         }
     }
 
     /// Samples every metric and renders the interval snapshot for `step`.
+    /// `proto_bytes` is the protocol's per-node state size: every shard
+    /// holds a full-size replica, which the merged gauge makes visible.
+    #[allow(clippy::too_many_arguments)] // private; one value per source
     fn sample<M>(
         &mut self,
         step: u64,
@@ -347,6 +353,7 @@ impl ShardTelemetry {
         graph: &Graph,
         procs: u32,
         proc: u32,
+        proto_bytes: usize,
     ) -> Snapshot {
         counter_set_total(&mut self.reg, self.c_frames_sent, stats.sent);
         counter_set_total(&mut self.reg, self.c_frames_received, stats.received);
@@ -378,6 +385,7 @@ impl ShardTelemetry {
             .gauge_set(self.g_engine_bytes, outbox.engine_bytes() as u64);
         self.reg
             .gauge_set(self.g_pool_bytes, outbox.pool_bytes() as u64);
+        self.reg.gauge_set(self.g_proto_bytes, proto_bytes as u64);
         let mut snap = self.reg.snapshot(step);
         snap.series = self.series.clone();
         snap
@@ -503,7 +511,15 @@ where
                     // wall-clock reads) and shipped as a control frame.
                     if let Some(t) = tel.as_mut() {
                         if step.is_multiple_of(cfg.metrics_every) || step == cfg.scenario.steps {
-                            let snap = t.sample(step, &stats, &outbox, &graph, cfg.procs, cfg.proc);
+                            let snap = t.sample(
+                                step,
+                                &stats,
+                                &outbox,
+                                &graph,
+                                cfg.procs,
+                                cfg.proc,
+                                protocol.arena_bytes(),
+                            );
                             write_ctrl(
                                 &mut ctrl,
                                 &CtrlMsg::Metrics {

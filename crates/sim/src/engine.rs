@@ -55,6 +55,14 @@ pub struct EngineStats {
     pub pool_hits: u64,
     /// Payload-pool slot allocations (pool growth).
     pub pool_allocs: u64,
+    /// Lookahead windows (barrier rounds) a sharded run synchronized at;
+    /// 0 for a sequential run.
+    pub windows: u64,
+    /// Σ over a sharded run's windows of the busiest shard's dispatched
+    /// events (see [`shard_imbalance`](Self::shard_imbalance)).
+    pub window_peak_events: u64,
+    /// Shards a sharded run was partitioned into; 0 for a sequential run.
+    pub shards: u32,
 }
 
 impl EngineStats {
@@ -71,11 +79,25 @@ impl EngineStats {
         }
     }
 
+    /// How unevenly a sharded run's work fell on its shards: Σ over windows
+    /// of the busiest shard's events ÷ Σ of the mean shard's events (every
+    /// event is dispatched inside some window, so the latter is
+    /// `dispatched / shards`). 1.0 is perfect balance; at `K` shards the
+    /// workers wait roughly `1 − 1/imbalance` of each window. 1.0 for a
+    /// sequential run.
+    pub fn shard_imbalance(&self) -> f64 {
+        if self.shards == 0 || self.dispatched == 0 {
+            return 1.0;
+        }
+        self.shards as f64 * self.window_peak_events as f64 / self.dispatched as f64
+    }
+
     /// Folds another engine's counters into this one — the sharded runner's
     /// whole-run totals, accumulated in shard-index order. `peak_depth` is
     /// summed, not maxed: the shards' wheels are live simultaneously, so the
     /// sum bounds the run's true peak pending population (and matches how
-    /// the cluster merge sums per-shard gauges).
+    /// the cluster merge sums per-shard gauges). The window fields are
+    /// whole-run values the sharded coordinator sets after the fold.
     pub fn merge_from(&mut self, other: &EngineStats) {
         self.dispatched += other.dispatched;
         self.peak_depth += other.peak_depth;
@@ -173,8 +195,7 @@ impl<E> Engine<E> {
         EngineStats {
             dispatched: self.dispatched,
             peak_depth: self.peak_depth,
-            pool_hits: 0,
-            pool_allocs: 0,
+            ..EngineStats::default()
         }
     }
 
@@ -650,6 +671,7 @@ mod tests {
             peak_depth: 4,
             pool_hits: 7,
             pool_allocs: 3,
+            ..EngineStats::default()
         };
         let mut total = EngineStats::default();
         total.merge_from(&a);
@@ -658,6 +680,7 @@ mod tests {
             peak_depth: 6,
             pool_hits: 1,
             pool_allocs: 0,
+            ..EngineStats::default()
         });
         assert_eq!(total.dispatched, 15);
         assert_eq!(total.peak_depth, 10);

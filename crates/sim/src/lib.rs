@@ -64,6 +64,8 @@
 //!    ([`network::NetEvent::Drop`]), never at send time, so protocols cannot
 //!    peek at the future.
 
+#![deny(unsafe_code)]
+
 pub mod engine;
 pub mod latency;
 pub mod message;

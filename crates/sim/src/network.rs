@@ -135,6 +135,25 @@ impl NetworkModel {
         }
     }
 
+    /// The shortest delay any hop can take under this model, in whole
+    /// ticks, floored at 1: `⌊lo × (1 − link_spread)⌋`, where `lo` is the
+    /// latency distribution's lower bound (`c` for `Constant(c)`, `lo` for
+    /// `Uniform`, 0 for `Exponential`). A draw is the base latency times a
+    /// link factor of at least `1 − link_spread`, rounded, so no delay is
+    /// ever shorter (cross-shard hops are clamped to ≥ 1 tick on top). This
+    /// is the sharded engine's lookahead: a message sent at tick `t` cannot
+    /// arrive before `t + min_hop_ticks()`, so shards may run that many
+    /// ticks between barriers without observing each other. `wan()` gives
+    /// 15; `ideal()` gives 1.
+    pub fn min_hop_ticks(&self) -> u64 {
+        let lo = match self.latency {
+            HopLatency::Constant(c) => c,
+            HopLatency::Uniform { lo, .. } => lo,
+            HopLatency::Exponential { .. } => 0.0,
+        };
+        (lo * (1.0 - self.link_spread)).floor().max(1.0) as u64
+    }
+
     /// Whether this model is indistinguishable from the paper's
     /// instantaneous-message simulator.
     pub fn is_ideal(&self) -> bool {
@@ -185,16 +204,22 @@ impl NetStats {
 /// A cross-shard message in transit between two shards' networks: routed
 /// out of the source shard's [`Network`] by
 /// [`route_remote`](Network::route_remote) (which already consumed the
-/// latency/drop draws and resolved the delivery tick) and enqueued into the
-/// destination shard's wheel by [`enqueue_remote`](Network::enqueue_remote).
+/// latency/drop draws and resolved the delivery tick) and filed into the
+/// destination shard's wheel at the next window start by
+/// [`Inbox::merge_into`](crate::shard::Inbox::merge_into).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RemoteMsg<M> {
     /// Sending node slot.
     pub src: u32,
     /// Receiving node slot (hosted by the destination shard).
     pub dst: u32,
-    /// Absolute delivery tick (≥ send tick + 1: the conservative-lookahead
-    /// guarantee tick-barrier synchronization relies on).
+    /// The tick the message was sent at: the first key of the window
+    /// merge, which files remote arrivals among the destination's own
+    /// staged events in send-tick order.
+    pub sent: SimTime,
+    /// Absolute delivery tick: at least `sent + 1` and at least the end of
+    /// the window it was sent in (the lookahead invariant
+    /// [`route_remote`](Network::route_remote) asserts).
     pub at: SimTime,
     /// Traffic class the send was charged as.
     pub kind: MessageKind,
@@ -266,6 +291,16 @@ enum QueuedEvent {
     },
 }
 
+/// An event produced inside a lookahead window but due at or after its
+/// end: it waits outside the wheel until the next window start, when
+/// [`Network::merge_window`] files it in send-tick order among the remote
+/// arrivals.
+struct Staged {
+    sent: u64,
+    at: u64,
+    event: QueuedEvent,
+}
+
 /// The network facade: owns the event queue (in-flight messages, timers,
 /// control events), applies the [`NetworkModel`] on every send, and counts
 /// all traffic on its internal [`MessageCounter`] — dropped messages were
@@ -290,6 +325,14 @@ pub struct Network<M> {
     /// Reused scratch for [`pop_batch`](Self::pop_batch) (no steady-state
     /// allocation).
     batch_buf: Vec<QueuedEvent>,
+    /// End (exclusive) of the open lookahead window, `u64::MAX` when none
+    /// is open (every driver but the sharded one): events due at or after
+    /// it are staged instead of filed.
+    window_end: u64,
+    /// Events staged during the open window, in send order.
+    staged: Vec<Staged>,
+    /// Earliest delivery tick among `staged` (`u64::MAX` when empty).
+    staged_min: u64,
 }
 
 /// Cap on events drained per [`Network::pop_batch`] call. Bounds the
@@ -315,6 +358,9 @@ impl<M> Network<M> {
             delivered_by_kind: MessageCounter::new(),
             dropped_by_kind: MessageCounter::new(),
             batch_buf: Vec::new(),
+            window_end: u64::MAX,
+            staged: Vec::new(),
+            staged_min: u64::MAX,
         }
     }
 
@@ -328,9 +374,10 @@ impl<M> Network<M> {
         self.engine.now()
     }
 
-    /// Number of pending events (messages, timers and control events).
+    /// Number of pending events (messages, timers and control events),
+    /// counting those staged for the next lookahead window.
     pub fn pending(&self) -> usize {
-        self.engine.len()
+        self.engine.len() + self.staged.len()
     }
 
     /// Cumulative traffic counts, per [`MessageKind`].
@@ -375,10 +422,11 @@ impl<M> Network<M> {
         s
     }
 
-    /// Bytes the event wheel's buckets hold allocated (see
-    /// [`Engine::bytes`]; walks every bucket, so sample, don't poll).
+    /// Bytes the event wheel's buckets (see [`Engine::bytes`]; walks every
+    /// bucket, so sample, don't poll) and the window staging buffer hold
+    /// allocated.
     pub fn engine_bytes(&self) -> usize {
-        self.engine.bytes()
+        self.engine.bytes() + self.staged.capacity() * std::mem::size_of::<Staged>()
     }
 
     /// Bytes the payload pool's slab and free list hold allocated.
@@ -414,6 +462,21 @@ impl<M> Network<M> {
         1.0 + self.model.link_spread * (2.0 * u - 1.0)
     }
 
+    /// Files `event` due `delay` ticks from now: into the wheel, or, when
+    /// it is due at or after the open window's end, into the staging
+    /// buffer with its send tick.
+    #[inline]
+    fn schedule_in(&mut self, delay: u64, event: QueuedEvent) {
+        let sent = self.engine.now().0;
+        let at = sent + delay;
+        if at >= self.window_end {
+            self.staged_min = self.staged_min.min(at);
+            self.staged.push(Staged { sent, at, event });
+        } else {
+            self.engine.schedule_at(SimTime(at), event);
+        }
+    }
+
     /// Sends `msg` from `src` to `dst`, charging one message of `kind`.
     ///
     /// The model decides the message's fate *now* (draws consumed in send
@@ -443,19 +506,24 @@ impl<M> Network<M> {
                 kind,
             }
         };
-        self.engine.schedule_in(delay, event);
+        self.schedule_in(delay, event);
     }
 
     /// Routes a message whose destination lives on *another shard*: charges
     /// the send and consumes the model's latency/drop draws exactly like
     /// [`send`](Self::send) (same private stream, same send-order
-    /// discipline), but clamps the delay to ≥ 1 tick — the cross-shard
-    /// lookahead that lets every shard execute a full tick before the
-    /// barrier exchange. Returns the resolved in-transit message for the
-    /// caller to buffer toward the destination shard, or `None` when the
-    /// model dropped it — the drop is then scheduled *locally* at the
-    /// would-be delivery tick, so this (sending) shard's protocol instance
-    /// observes `on_loss` with no cross-shard round trip.
+    /// discipline), but clamps the delay to ≥ 1 tick. Returns the resolved
+    /// in-transit message for the caller to buffer toward the destination
+    /// shard, or `None` when the model dropped it — the drop is then
+    /// scheduled *locally* at the would-be delivery tick, so this (sending)
+    /// shard's protocol instance observes `on_loss` with no cross-shard
+    /// round trip.
+    ///
+    /// # Panics
+    /// Panics if the delivery would land before the open window's end: the
+    /// lookahead invariant that lets every shard run the whole window
+    /// without seeing the others. It holds whenever windows are at most
+    /// [`NetworkModel::min_hop_ticks`] long.
     pub fn route_remote(
         &mut self,
         src: u32,
@@ -468,9 +536,16 @@ impl<M> Network<M> {
         let base = self.model.latency.sample(&mut self.rng);
         let delay = ((base * self.link_factor(src, dst)).round().max(0.0) as u64).max(1);
         let dropped = self.model.drop_rate > 0.0 && self.rng.gen::<f64>() < self.model.drop_rate;
+        let now = self.engine.now();
+        assert!(
+            self.window_end == u64::MAX || now.0 + delay >= self.window_end,
+            "cross-shard delivery at {} lands inside the window ending at {}",
+            now.0 + delay,
+            self.window_end
+        );
         if dropped {
             let payload = self.pool.insert(msg);
-            self.engine.schedule_in(
+            self.schedule_in(
                 delay,
                 QueuedEvent::Drop {
                     src,
@@ -484,7 +559,8 @@ impl<M> Network<M> {
         Some(RemoteMsg {
             src,
             dst,
-            at: self.engine.now() + delay,
+            sent: now,
+            at: now + delay,
             kind,
             msg,
         })
@@ -492,10 +568,12 @@ impl<M> Network<M> {
 
     /// Enqueues a message routed out of another shard by
     /// [`route_remote`](Network::route_remote) into this (destination)
-    /// shard's wheel at its resolved delivery tick. The delivery is counted
-    /// here, so merged per-shard [`NetStats`] partition exactly like a
-    /// single network's. Callers must enqueue in (source-shard-index, FIFO)
-    /// order — that ordering *is* the sharded determinism contract.
+    /// shard's wheel at its resolved delivery tick, bypassing window
+    /// staging. The delivery is counted here, so merged per-shard
+    /// [`NetStats`] partition exactly like a single network's. The sharded
+    /// driver files remote arrivals through
+    /// [`merge_window`](Self::merge_window), whose order *is* the sharded
+    /// determinism contract.
     pub fn enqueue_remote(&mut self, m: RemoteMsg<M>) {
         let payload = self.pool.insert(m.msg);
         self.engine.schedule_at(
@@ -511,8 +589,7 @@ impl<M> Network<M> {
 
     /// Schedules a protocol timer at `node`, `delay` ticks from now.
     pub fn schedule_timer_in(&mut self, delay: u64, node: u32, tag: u64) {
-        self.engine
-            .schedule_in(delay, QueuedEvent::Timer { node, tag });
+        self.schedule_in(delay, QueuedEvent::Timer { node, tag });
     }
 
     /// Schedules a driver control event at absolute time `time`.
@@ -520,11 +597,60 @@ impl<M> Network<M> {
         self.engine.schedule_at(time, QueuedEvent::Control { tag });
     }
 
-    /// Timestamp of the earliest pending event, if any — what a wall-clock
-    /// pump needs to sleep precisely until the next due timer or delivery
-    /// without popping anything.
+    /// Timestamp of the earliest pending event, if any, staged events
+    /// included — what a wall-clock pump needs to sleep precisely until the
+    /// next due timer or delivery without popping anything, and what the
+    /// sharded coordinator opens the next window at.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.engine.peek_time()
+        let staged = (self.staged_min != u64::MAX).then_some(SimTime(self.staged_min));
+        match (self.engine.peek_time(), staged) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Opens the lookahead window ending (exclusive) at `end`: until the
+    /// next call, every event this network schedules that is due before
+    /// `end` goes straight into the wheel, and every event due at or after
+    /// it is staged with its send tick for the next
+    /// [`merge_window`](Self::merge_window).
+    pub fn open_window(&mut self, end: SimTime) {
+        debug_assert!(self.staged.is_empty(), "staged events not merged");
+        self.window_end = end.0;
+    }
+
+    /// Files this shard's staged events and the remote arrivals in `lanes`
+    /// (one lane per source shard, each in send order) into the wheel, at
+    /// a window start. The merge key is **(send tick, own shard before
+    /// remote shards, ascending source shard, FIFO)**: exactly the order in
+    /// which barriers on every tick filed them — own sends as they happened
+    /// during their tick, then that tick's remote lanes in source order —
+    /// so the wheel's FIFO tie-break dispatches the same sequence. Lanes
+    /// are left empty with their capacity.
+    pub fn merge_window(&mut self, lanes: &mut [Vec<RemoteMsg<M>>]) {
+        let mut staged = std::mem::take(&mut self.staged);
+        self.staged_min = u64::MAX;
+        {
+            let mut own = staged.drain(..).peekable();
+            let mut remote: Vec<_> = lanes.iter_mut().map(|l| l.drain(..).peekable()).collect();
+            loop {
+                let heads = own
+                    .peek()
+                    .map(|s| s.sent)
+                    .into_iter()
+                    .chain(remote.iter_mut().filter_map(|l| l.peek().map(|m| m.sent.0)));
+                let Some(tick) = heads.min() else { break };
+                while let Some(s) = own.next_if(|s| s.sent == tick) {
+                    self.engine.schedule_at(SimTime(s.at), s.event);
+                }
+                for lane in &mut remote {
+                    while let Some(m) = lane.next_if(|m| m.sent.0 == tick) {
+                        self.enqueue_remote(m);
+                    }
+                }
+            }
+        }
+        self.staged = staged;
     }
 
     /// Resolves a queued event into its caller-facing form, reclaiming the
@@ -614,7 +740,8 @@ impl<M> Network<M> {
     /// simultaneous batch if it is due at or before `horizon`, otherwise
     /// returns `None` (leaving later events queued) and parks the clock at
     /// `horizon`. The batched form of [`pop_until`](Self::pop_until) — what
-    /// a barrier-synchronized shard uses to execute exactly one agreed tick.
+    /// a barrier-synchronized shard uses to execute exactly one agreed
+    /// window.
     pub fn pop_batch_until(
         &mut self,
         horizon: SimTime,
@@ -632,9 +759,9 @@ impl<M> Network<M> {
 
     /// Advances the clock to `t` without dispatching anything (see
     /// [`Engine::advance_to`]): the sharded driver parks every shard at the
-    /// agreed barrier tick before running its step handler, so sends from
-    /// `on_step` are timestamped relative to the tick being executed even
-    /// on shards that had no events of their own.
+    /// agreed window start before running its step handler, so sends from
+    /// `on_step` are timestamped relative to that tick even on shards that
+    /// had no events of their own.
     ///
     /// # Panics
     /// Panics if an event earlier than `t` is still pending.

@@ -3,48 +3,52 @@
 //! The sharded runner partitions the node population across `K` shards
 //! (slot `s` lives on shard `s % K`, the same rule `p2p-node` deploys
 //! with), gives each shard its own timing wheel, payload pool and derived
-//! RNG streams, and runs shards on worker threads that synchronize at tick
-//! barriers. The conservative-execution argument is the classic one: every
-//! cross-shard delivery resolves ≥ 1 tick after its send
-//! ([`Network::route_remote`](crate::Network::route_remote) clamps the
-//! delay), so messages produced while executing tick `T` can only be due
-//! at `T + 1` or later — each shard may therefore execute all of tick `T`
-//! without observing the others, and the buffered cross-shard traffic is
-//! reconciled between ticks.
+//! RNG streams, and runs shards on worker threads that synchronize at the
+//! edges of **lookahead windows**. The conservative-execution argument is
+//! the classic one: no hop under the network model is shorter than
+//! [`NetworkModel::min_hop_ticks`](crate::NetworkModel::min_hop_ticks) `=
+//! W` ticks (and a cross-shard hop is clamped to ≥ 1 on top), so a message
+//! sent inside a window `[T, E)` with `E ≤ T + W` cannot arrive before `E`.
+//! Each shard may therefore execute the whole window without observing the
+//! others; [`Network::route_remote`](crate::Network::route_remote) asserts
+//! the invariant on every cross-shard send.
 //!
-//! # The (source-shard-index, FIFO) merge order
+//! # The merge order
 //!
 //! Determinism of the single-wheel engine rests on FIFO order among
-//! same-tick events. The sharded engine extends that rule across the
-//! exchange: when a destination shard ingests the round's buffered remote
-//! messages, it enqueues them **grouped by source shard in ascending shard
-//! index, preserving each source's send (FIFO) order** —
-//! [`Inbox::drain`]. Because every shard ingests before executing its next
-//! tick, same-tick remote arrivals take a deterministic position in the
-//! destination bucket regardless of which worker thread ran which shard
-//! when. The result: a K-shard run is byte-identical across reruns *and*
-//! across worker-thread counts — K itself is part of the result identity
-//! (a 4-shard run is a different, equally valid realization than a 1-shard
-//! run of the same seed).
+//! same-tick events. Inside a window a shard files an event due before `E`
+//! straight into its wheel and stages any event due at or after `E` with
+//! its send tick. At the next window start it files its staged events and
+//! the window's remote arrivals in one merge ([`Inbox::merge_into`]) keyed
+//! by **(send tick, own shard before remote shards, ascending source
+//! shard, FIFO)**. That is the order a barrier on every occupied tick
+//! produced: the shard's own sends entered the wheel as they happened
+//! during their tick, and that tick's remote lanes followed in source order
+//! at the next barrier. So the wheel's FIFO tie-break dispatches the same
+//! sequence, and a `K`-shard run is byte-identical to the per-tick engine,
+//! across reruns *and* across worker-thread counts. `K` itself is part of
+//! the result identity (a 4-shard run is a different, equally valid
+//! realization than a 1-shard run of the same seed).
 //!
 //! # Shapes
 //!
 //! * [`Outbox`] — a source shard's per-destination lanes, filled while the
-//!   shard executes a tick (single-threaded: only that shard's worker
+//!   shard executes a window (single-threaded: only that shard's worker
 //!   touches it).
-//! * [`Inbox`] — a destination shard's per-source lanes for one round,
-//!   drained in source-index order at the start of the next tick.
+//! * [`Inbox`] — a destination shard's per-source lanes for one window,
+//!   merged at the start of the next.
 //! * [`ExchangeGrid`] — the coordinator's scratch that moves lanes from
 //!   outboxes to inboxes between parallel phases, one shard locked at a
 //!   time, swapping `Vec`s so lane capacity circulates with zero
 //!   steady-state allocation.
 
-use crate::network::RemoteMsg;
+use crate::network::{Network, RemoteMsg};
 use crate::time::SimTime;
 
 /// A source shard's buffered cross-shard sends: one FIFO lane per
 /// destination shard, plus the earliest delivery tick per lane so the
-/// coordinator can compute the next barrier tick without scanning messages.
+/// coordinator can compute the next window start without scanning
+/// messages.
 pub struct Outbox<M> {
     lanes: Vec<Vec<RemoteMsg<M>>>,
     mins: Vec<u64>,
@@ -83,7 +87,8 @@ impl<M> Outbox<M> {
 }
 
 /// A destination shard's view of one exchange round: the lane each source
-/// shard produced for it, ingested in ascending source-index order.
+/// shard produced for it during one window, merged at the next window
+/// start.
 pub struct Inbox<M> {
     lanes: Vec<Vec<RemoteMsg<M>>>,
     min: u64,
@@ -98,8 +103,9 @@ impl<M> Inbox<M> {
         }
     }
 
-    /// Earliest delivery tick waiting to be ingested, if any. Part of the
-    /// coordinator's next-barrier-tick minimum alongside each shard's wheel.
+    /// Earliest delivery tick waiting to be merged, if any. Part of the
+    /// coordinator's next-window-start minimum alongside each shard's
+    /// pending events.
     pub fn min_at(&self) -> Option<SimTime> {
         (self.min != u64::MAX).then_some(SimTime(self.min))
     }
@@ -109,17 +115,14 @@ impl<M> Inbox<M> {
         self.lanes.iter().all(Vec::is_empty)
     }
 
-    /// Drains the round's messages in **(source-shard-index, FIFO)** order —
-    /// the sharded determinism contract. The destination shard calls this
-    /// (feeding [`Network::enqueue_remote`](crate::Network::enqueue_remote))
-    /// before executing its next tick, so same-tick remote arrivals occupy
-    /// a deterministic position in the destination bucket.
-    pub fn drain(&mut self, mut f: impl FnMut(RemoteMsg<M>)) {
-        for lane in &mut self.lanes {
-            for m in lane.drain(..) {
-                f(m);
-            }
-        }
+    /// Files the window's remote arrivals together with `net`'s own
+    /// staged events into `net`'s wheel, in (send tick, own shard before
+    /// remote shards, ascending source shard, FIFO) order — the sharded
+    /// determinism contract (see [`Network::merge_window`]). The
+    /// destination shard calls this at the start of every window, before
+    /// opening the next one.
+    pub fn merge_into(&mut self, net: &mut Network<M>) {
+        net.merge_window(&mut self.lanes);
         self.min = u64::MAX;
     }
 }
@@ -181,11 +184,13 @@ impl<M> ExchangeGrid<M> {
 mod tests {
     use super::*;
     use crate::message::MessageKind;
+    use crate::network::{NetEvent, NetworkModel};
 
     fn msg(src_shard: usize, seq: u64, at: u64) -> RemoteMsg<(usize, u64)> {
         RemoteMsg {
             src: src_shard as u32,
             dst: 0,
+            sent: SimTime(0),
             at: SimTime(at),
             kind: MessageKind::Control,
             msg: (src_shard, seq),
@@ -237,15 +242,20 @@ mod tests {
                 oracle.iter().map(|&(at, _)| at).min(),
                 "inbox min must be the earliest buffered tick"
             );
-            // Drain in contract order, then dispatch through a wheel — the
-            // wheel's FIFO tie-break turns enqueue order into the oracle's
-            // stable (tick, source, seq) dispatch order.
-            let mut wheel: crate::Engine<(usize, u64)> = crate::Engine::new();
-            inbox.drain(|m| wheel.schedule_at(m.at, m.msg));
+            // Merge in contract order (one send tick, so source then FIFO),
+            // then dispatch through the wheel — its FIFO tie-break turns
+            // filing order into the oracle's stable (tick, source, seq)
+            // dispatch order.
+            let mut net: Network<(usize, u64)> = Network::new(NetworkModel::ideal(), 0);
+            inbox.merge_into(&mut net);
             assert!(inbox.is_empty());
             assert!(inbox.min_at().is_none());
-            let got: Vec<(u64, (usize, u64))> =
-                std::iter::from_fn(|| wheel.pop().map(|(t, p)| (t.0, p))).collect();
+            let got: Vec<(u64, (usize, u64))> = std::iter::from_fn(|| net.pop())
+                .map(|(t, ev)| match ev {
+                    NetEvent::Deliver { msg, .. } => (t.0, msg),
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
             assert_eq!(got, oracle, "k={k} dest={d}");
         }
     }
@@ -263,10 +273,13 @@ mod tests {
         let mut outboxes: Vec<Outbox<(usize, u64)>> = (0..k).map(|_| Outbox::new(k)).collect();
         let mut inboxes: Vec<Inbox<(usize, u64)>> = (0..k).map(|_| Inbox::new(k)).collect();
         let mut grid = ExchangeGrid::new(k);
+        let mut net: Network<(usize, u64)> = Network::new(NetworkModel::ideal(), 0);
         for round in 0..5u64 {
             for (s, outbox) in outboxes.iter_mut().enumerate() {
                 for seq in 0..4 {
-                    outbox.push(1, msg(s, round * 10 + seq, round + 1));
+                    let mut m = msg(s, round * 10 + seq, round + 1);
+                    m.sent = SimTime(round);
+                    outbox.push(1, m);
                 }
             }
             for (s, outbox) in outboxes.iter_mut().enumerate() {
@@ -276,13 +289,234 @@ mod tests {
                 grid.deliver(d, inbox);
             }
             let mut got = Vec::new();
-            inboxes[1].drain(|m| got.push(m.msg));
+            inboxes[1].merge_into(&mut net);
+            while let Some((_, NetEvent::Deliver { msg, .. })) = net.pop() {
+                got.push(msg);
+            }
             let expected: Vec<(usize, u64)> = (0..k)
                 .flat_map(|s| (0..4).map(move |seq| (s, round * 10 + seq)))
                 .collect();
             assert_eq!(got, expected, "round {round}");
             for inbox in &inboxes {
                 assert!(inbox.is_empty());
+            }
+        }
+    }
+
+    /// Test payload: (message id, hops left).
+    type Msg = (u64, u8);
+
+    /// Per-shard dispatch logs: (tick, event kind, id) in dispatch order.
+    type Logs = Vec<Vec<(u64, u8, u64)>>;
+
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// Sends `msg` from slot `src` to slot `dst` the way the sharded driver
+    /// does: locally when shard `me` hosts `dst`, else routed remote.
+    fn route(
+        k: usize,
+        me: usize,
+        net: &mut Network<Msg>,
+        src: u32,
+        dst: u32,
+        msg: Msg,
+        remote: &mut dyn FnMut(usize, RemoteMsg<Msg>),
+    ) {
+        let to = dst as usize % k;
+        if to == me {
+            net.send(src, dst, MessageKind::Control, msg);
+        } else if let Some(m) = net.route_remote(src, dst, MessageKind::Control, msg) {
+            remote(to, m);
+        }
+    }
+
+    /// A deterministic toy protocol: each delivery with hops left forwards
+    /// two copies to pseudo-random slots and sometimes arms a timer (0 to
+    /// 2W ticks out, so same-tick and in-window local events occur); each
+    /// timer sends one last-hop message. Returns the dispatch log entry.
+    #[allow(clippy::too_many_arguments)]
+    fn react(
+        k: usize,
+        me: usize,
+        w: u64,
+        net: &mut Network<Msg>,
+        t: u64,
+        ev: NetEvent<Msg>,
+        remote: &mut dyn FnMut(usize, RemoteMsg<Msg>),
+    ) -> (u64, u8, u64) {
+        match ev {
+            NetEvent::Deliver {
+                dst,
+                msg: (id, hops),
+                ..
+            } => {
+                if hops > 0 {
+                    for j in 0..2 {
+                        let h = mix(id ^ j);
+                        route(k, me, net, dst, (h % 64) as u32, (h, hops - 1), remote);
+                    }
+                    if id % 3 == 0 {
+                        net.schedule_timer_in(mix(id) % (2 * w + 1), dst, id);
+                    }
+                }
+                (t, 0, id)
+            }
+            NetEvent::Timer { node, tag } => {
+                let h = mix(tag ^ 0x55);
+                route(k, me, net, node, (h % 64) as u32, (h, 0), remote);
+                (t, 1, tag)
+            }
+            NetEvent::Drop { msg: (id, _), .. } => (t, 2, id),
+            NetEvent::Control { .. } => unreachable!(),
+        }
+    }
+
+    fn seed_shards(k: usize, model: NetworkModel) -> Vec<Network<Msg>> {
+        (0..k)
+            .map(|s| Network::new(model, 100 + s as u64))
+            .collect()
+    }
+
+    /// The reference: a barrier on every occupied tick, remote arrivals
+    /// filed in (source shard, FIFO) order before the next tick.
+    fn per_tick_reference(k: usize, model: NetworkModel) -> Logs {
+        let w = model.min_hop_ticks();
+        let mut nets = seed_shards(k, model);
+        // lanes[dst][src]: remote messages waiting for the next barrier.
+        let mut lanes: Vec<Vec<Vec<RemoteMsg<Msg>>>> =
+            vec![(0..k).map(|_| Vec::new()).collect(); k];
+        for (me, net) in nets.iter_mut().enumerate() {
+            for i in 0..8u64 {
+                let h = mix((me as u64) << 8 | i);
+                route(
+                    k,
+                    me,
+                    net,
+                    me as u32,
+                    (h % 64) as u32,
+                    (h, 5),
+                    &mut |d, m| lanes[d][me].push(m),
+                );
+            }
+        }
+        let mut logs = vec![Vec::new(); k];
+        let mut batch = Vec::new();
+        loop {
+            let next = nets
+                .iter()
+                .filter_map(|n| n.next_event_time().map(|t| t.0))
+                .chain(lanes.iter().flatten().flatten().map(|m| m.at.0))
+                .min();
+            let Some(tick) = next else { break };
+            for (net, from) in nets.iter_mut().zip(&mut lanes) {
+                for lane in from.iter_mut() {
+                    for m in lane.drain(..) {
+                        net.enqueue_remote(m);
+                    }
+                }
+            }
+            for (me, net) in nets.iter_mut().enumerate() {
+                while let Some(t) = net.pop_batch_until(SimTime(tick), &mut batch) {
+                    for ev in std::mem::take(&mut batch) {
+                        let entry = react(k, me, w, net, t.0, ev, &mut |d, m| lanes[d][me].push(m));
+                        logs[me].push(entry);
+                    }
+                }
+            }
+        }
+        logs
+    }
+
+    /// The window engine: windows of `min_hop_ticks` ticks, staging, and
+    /// the (send tick, own, source, FIFO) merge through the real exchange.
+    fn windowed(k: usize, model: NetworkModel) -> (Logs, usize) {
+        let w = model.min_hop_ticks();
+        let mut nets = seed_shards(k, model);
+        let mut outboxes: Vec<Outbox<Msg>> = (0..k).map(|_| Outbox::new(k)).collect();
+        let mut inboxes: Vec<Inbox<Msg>> = (0..k).map(|_| Inbox::new(k)).collect();
+        let mut grid = ExchangeGrid::new(k);
+        let exchange = |grid: &mut ExchangeGrid<Msg>,
+                        outboxes: &mut [Outbox<Msg>],
+                        inboxes: &mut [Inbox<Msg>]| {
+            for (s, o) in outboxes.iter_mut().enumerate() {
+                grid.collect(s, o);
+            }
+            for (d, i) in inboxes.iter_mut().enumerate() {
+                grid.deliver(d, i);
+            }
+        };
+        for (me, net) in nets.iter_mut().enumerate() {
+            let outbox = &mut outboxes[me];
+            for i in 0..8u64 {
+                let h = mix((me as u64) << 8 | i);
+                route(
+                    k,
+                    me,
+                    net,
+                    me as u32,
+                    (h % 64) as u32,
+                    (h, 5),
+                    &mut |d, m| outbox.push(d, m),
+                );
+            }
+        }
+        exchange(&mut grid, &mut outboxes, &mut inboxes);
+        let mut logs = vec![Vec::new(); k];
+        let mut batch = Vec::new();
+        let mut windows = 0;
+        loop {
+            let next = nets
+                .iter()
+                .filter_map(|n| n.next_event_time())
+                .chain(inboxes.iter().filter_map(Inbox::min_at))
+                .min();
+            let Some(start) = next else { break };
+            let end = start.0 + w;
+            windows += 1;
+            for (me, net) in nets.iter_mut().enumerate() {
+                inboxes[me].merge_into(net);
+                net.open_window(SimTime(end));
+                let outbox = &mut outboxes[me];
+                while let Some(t) = net.pop_batch_until(SimTime(end - 1), &mut batch) {
+                    for ev in std::mem::take(&mut batch) {
+                        let entry = react(k, me, w, net, t.0, ev, &mut |d, m| outbox.push(d, m));
+                        logs[me].push(entry);
+                    }
+                }
+            }
+            exchange(&mut grid, &mut outboxes, &mut inboxes);
+        }
+        for net in &nets {
+            assert_eq!(net.pending(), 0, "nothing left staged");
+        }
+        (logs, windows)
+    }
+
+    #[test]
+    fn window_merge_dispatches_the_per_tick_sequence() {
+        for (k, lo, spread, drop) in [(2, 6.0, 0.0, 0.0), (3, 8.0, 0.25, 0.1), (4, 3.0, 0.0, 0.2)] {
+            let model = NetworkModel::ideal()
+                .with_latency(crate::HopLatency::Uniform { lo, hi: lo + 4.0 })
+                .with_link_spread(spread)
+                .with_drop_rate(drop);
+            let w = model.min_hop_ticks();
+            assert!(w > 1, "the case must exercise multi-tick windows");
+            let reference = per_tick_reference(k, model);
+            let (got, windows) = windowed(k, model);
+            let events: usize = reference.iter().map(Vec::len).sum();
+            assert!(events > 1_000, "k={k}: too little traffic ({events})");
+            let ticks: std::collections::BTreeSet<u64> =
+                reference.iter().flatten().map(|e| e.0).collect();
+            assert!(
+                windows < ticks.len(),
+                "k={k}: windows must span several ticks"
+            );
+            for (s, (a, b)) in reference.iter().zip(&got).enumerate() {
+                assert_eq!(a, b, "k={k} shard {s} (W={w})");
             }
         }
     }

@@ -18,6 +18,8 @@
 //! RNG-draw or event-ordering expression — which the `telemetry-side-effect`
 //! audit rule enforces workspace-wide.
 
+#![deny(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::io::{self, Write};
 

@@ -11,6 +11,8 @@
 //! It also shows the §III-A caveat in action: on a poorly-expanding graph
 //! the walk budget `T` must grow for Sample&Collide to stay unbiased.
 
+#![deny(unsafe_code)]
+
 use p2p_size_estimation::estimation::sample_collide::SampleCollideConfig;
 use p2p_size_estimation::estimation::{SampleCollide, SizeEstimator};
 use p2p_size_estimation::overlay::builder::GraphBuilder;

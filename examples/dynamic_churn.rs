@@ -9,6 +9,8 @@
 //! a monitoring process continuously re-estimates the size with the cheap
 //! `l = 10` configuration (one estimate per tick).
 
+#![deny(unsafe_code)]
+
 use p2p_size_estimation::estimation::{SampleCollide, SizeEstimator};
 use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::overlay::churn;

@@ -16,6 +16,8 @@
 //!   Aggregation (one tick = one gossip round; one reading per epoch) —
 //!   something the historic one-shot-only monitor could not express.
 
+#![deny(unsafe_code)]
+
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
 use p2p_size_estimation::estimation::monitor::SizeMonitor;
 use p2p_size_estimation::estimation::{Heuristic, SampleCollide};

@@ -10,6 +10,8 @@
 //! meeting a target precision — the workflow an application developer would
 //! actually follow.
 
+#![deny(unsafe_code)]
+
 use p2p_size_estimation::estimation::ProtocolSpec;
 use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::sim::rng::small_rng;

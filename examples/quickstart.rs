@@ -13,6 +13,8 @@
 //! or fails. The same protocols then run through the scenario driver
 //! `run_scenario` on a dynamic (growing) overlay.
 
+#![deny(unsafe_code)]
+
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
 use p2p_size_estimation::estimation::{estimate_once, EstimationProtocol, Heuristic};
 use p2p_size_estimation::estimation::{HopsSampling, SampleCollide};

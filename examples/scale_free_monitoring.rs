@@ -8,6 +8,8 @@
 //! degrees do not bias Sample&Collide (its sampler is degree-corrected) nor
 //! Aggregation, but they *amplify* HopsSampling's underestimation.
 
+#![deny(unsafe_code)]
+
 use p2p_size_estimation::estimation::aggregation::Aggregation;
 use p2p_size_estimation::estimation::{HopsSampling, SampleCollide, SizeEstimator};
 use p2p_size_estimation::overlay::builder::{BarabasiAlbert, GraphBuilder};

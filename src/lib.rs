@@ -17,6 +17,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![deny(unsafe_code)]
+
 pub use p2p_estimation as estimation;
 pub use p2p_experiments as experiments;
 pub use p2p_overlay as overlay;

@@ -18,7 +18,7 @@ use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::overlay::churn;
 use p2p_size_estimation::sim::network::NetworkModel;
 use p2p_size_estimation::sim::rng::small_rng;
-use p2p_size_estimation::sim::{HopLatency, MessageCounter};
+use p2p_size_estimation::sim::{HopLatency, MessageCounter, MessageKind, Network};
 use proptest::prelude::*;
 
 fn assert_traces_identical(a: &Trace, b: &Trace, what: &str) {
@@ -213,5 +213,47 @@ proptest! {
         }
         // Deliveries to departed nodes were reclassified, not handled.
         prop_assert!(netp.net_stats().in_flight() <= netp.net_stats().sent);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn no_drawn_delay_undercuts_the_minimum_hop_bound(
+        seed in any::<u64>(),
+        shape in 0u8..3,
+        lo in 0.0f64..60.0,
+        width in 0.001f64..200.0,
+        spread in 0usize..6,
+    ) {
+        // The sharded engine's lookahead window is `min_hop_ticks()` long:
+        // every cross-shard delivery must land at least that far out, and
+        // every local delay at least ⌊lo × (1 − spread)⌋ ticks.
+        let spread = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0][spread];
+        let latency = match shape {
+            0 => HopLatency::Constant(lo),
+            1 => HopLatency::Uniform { lo, hi: lo + width },
+            _ => HopLatency::Exponential { mean: lo + width },
+        };
+        let model = NetworkModel::ideal().with_latency(latency).with_link_spread(spread);
+        let w = model.min_hop_ticks();
+        prop_assert!(w >= 1);
+        let raw = match latency {
+            HopLatency::Exponential { .. } => 0.0,
+            _ => (lo * (1.0 - spread)).floor(),
+        };
+        prop_assert_eq!(w, (raw as u64).max(1));
+        let mut net: Network<u32> = Network::new(model, seed);
+        for i in 0..400u32 {
+            let (a, b) = (i % 37, i.wrapping_mul(7919) % 101);
+            if let Some(m) = net.route_remote(a, b, MessageKind::Control, i) {
+                prop_assert!(m.at.ticks() >= w, "remote hop of {} < {w}", m.at.ticks());
+            }
+            net.send(a, b, MessageKind::Control, i);
+        }
+        while let Some((t, _)) = net.pop() {
+            prop_assert!(t.ticks() as f64 >= raw, "local hop of {} < {raw}", t.ticks());
+        }
     }
 }
