@@ -580,6 +580,67 @@ mod tests {
     }
 
     #[test]
+    fn window_metrics_and_arena_replicas_are_reported() {
+        let (trace, snaps) = run_agg(2, None, 31);
+        let last = snaps.last().unwrap();
+        let gauge = |name: &str| last.gauges.iter().find(|(n, _)| n == name).unwrap().1;
+        let counter = |name: &str| last.counters.iter().find(|(n, _)| n == name).unwrap().1;
+        // wan's 15-tick lookahead: a 400-tick step takes at most 28 windows
+        // (a barrier on every occupied tick took up to 400), plus the
+        // one-tick windows at telemetry steps and the post-timeline drain.
+        let es = trace.engine;
+        assert_eq!(NetworkModel::wan().min_hop_ticks(), 15);
+        assert_eq!(es.shards, 2);
+        assert!(
+            es.windows > 60 && es.windows <= 60 * 28 + 30,
+            "{} windows",
+            es.windows
+        );
+        assert_eq!(counter("shard.windows"), es.windows);
+        let imbalance = es.shard_imbalance();
+        assert!((1.0..1.5).contains(&imbalance), "imbalance {imbalance}");
+        assert_eq!(
+            gauge("shard.imbalance"),
+            (imbalance * 1000.0).round() as u64
+        );
+        // Each shard holds a full-size arena replica: the folded gauge is
+        // K times the sequential run's.
+        let mut seq = make_agg(ShardView {
+            proc: 0,
+            procs: 1,
+            estimator: None,
+        });
+        seq.deployment = Deployment::Simulated;
+        let (_, seq_snaps) = crate::runner::run_scenario_des_telemetry(
+            &mut seq,
+            &wan_scenario(2_000, 60),
+            Heuristic::OneShot,
+            31,
+            "agg",
+            Some(TelemetryOpts {
+                every: 20,
+                eps: 0.5,
+            }),
+        );
+        let seq_gauge = |name: &str| {
+            let last = seq_snaps.last().unwrap();
+            last.gauges.iter().find(|(n, _)| n == name).unwrap().1
+        };
+        assert!(seq_gauge("proto.arena_bytes") > 0);
+        assert_eq!(
+            gauge("proto.arena_bytes"),
+            2 * seq_gauge("proto.arena_bytes")
+        );
+        assert!(
+            !seq_snaps[0]
+                .counters
+                .iter()
+                .any(|(n, _)| n.starts_with("shard.")),
+            "sequential runs carry no shard metrics"
+        );
+    }
+
+    #[test]
     fn merged_stats_cover_the_whole_run() {
         let (trace, snaps) = run_agg(2, None, 31);
         // Whole-run totals, not shard 0's view: the per-kind counter and
